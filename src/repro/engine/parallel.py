@@ -39,28 +39,27 @@ object is freed, and pinned objects are not freed.
 Lifecycle: the pool forks lazily on first dispatch, is reused across
 queries (a session keeps one for its lifetime), and is drained by
 :meth:`MorselPool.shutdown` — called from ``Session.close()`` and
-``Executor.close()``.  Workers are daemons, so even an abandoned pool
-dies with the coordinator process.  A worker crash mid-batch poisons
-the current query (``ExecutionError``) but not the pool: the next
-dispatch respawns a fresh set of workers.
+``Executor.close()``.  Workers are supervised children
+(:mod:`repro.gpos.workers`): daemons, so even an abandoned pool dies
+with the coordinator process.  A worker that crashes mid-batch, or
+sends nothing back within :data:`GATHER_TIMEOUT_SECONDS`, poisons the
+current query (``ExecutionError``) but not the pool: the next dispatch
+respawns a fresh set of workers.
 
-Fleet interaction: fleet workers are daemonic processes and therefore
-*cannot* fork (multiprocessing forbids daemonic children), so
-:func:`effective_parallelism` degrades them to the serial path; the
-orchestrator additionally caps the requested parallelism per worker by
-``cpu_count // fleet_workers`` so that embedding the engine in a
-non-daemonic multi-process host cannot fork-bomb the box.
+Fleet workers are daemonic processes and therefore *cannot* fork
+(multiprocessing forbids daemonic children), so
+:func:`effective_parallelism` degrades them to the serial path.
 """
 
 from __future__ import annotations
 
 import itertools
 import multiprocessing
-import os
 import time
 from typing import Any, Callable, Optional
 
 from repro.errors import ExecutionError
+from repro.gpos.workers import Worker, WorkerLost, gather, serve
 from repro.telemetry.registry import NULL_METRICS, MetricsRegistry
 
 #: Monotonic ids for compiled chains, unique per coordinator process.
@@ -74,6 +73,11 @@ _CHAIN_KEYS = itertools.count(1)
 #: *unstable* inputs (fresh lists every execution) from accumulating
 #: pinned garbage; crossing it flushes the resident cache on both sides.
 _PIN_ROWS_MAX = 1 << 19
+
+#: Longest a stage's gather waits for its workers' replies.  A worker
+#: silent for longer is killed and its query fails with
+#: ``ExecutionError``, as if it had died.
+GATHER_TIMEOUT_SECONDS = 120.0
 
 
 def next_chain_key() -> int:
@@ -89,16 +93,6 @@ def effective_parallelism(requested: int) -> int:
     if multiprocessing.current_process().daemon:
         return 1
     return int(requested)
-
-
-def fleet_parallelism_cap(requested: int, fleet_workers: int) -> int:
-    """Cap one fleet worker's morsel parallelism so the whole fleet
-    cannot oversubscribe the machine (``cpu_count // fleet_workers``,
-    floor 1 = serial)."""
-    if requested < 2:
-        return requested
-    cap = max(1, (os.cpu_count() or 1) // max(int(fleet_workers), 1))
-    return min(int(requested), cap)
 
 
 class ChainSpec:
@@ -188,14 +182,13 @@ def _run_morsel(stage, rows, table, params):
 def _pool_worker_main(conn) -> None:
     """Worker process entry point: serve morsel batches until shutdown.
 
-    One request in, one response out; per-worker chain cache keyed by
-    the coordinator's chain ids.  Row lists arrive either inline
-    (``("x", rows)``), as an install (``("i", rid, rows)`` — kept in
-    the resident cache), or as a reference to an earlier install
-    (``("r", rid)``).  Hash tables built from resident build sides are
-    themselves cached per (chain, stage, rid).  Any exception is
-    downgraded to an error response — the coordinator decides whether
-    to poison the pool.
+    One batch in, one ``{"ok": True, "results": [...]}`` reply out;
+    per-worker chain cache keyed by the coordinator's chain ids.  Row
+    lists arrive either inline (``("x", rows)``), as an install
+    (``("i", rid, rows)`` — kept in the resident cache), or as a
+    reference to an earlier install (``("r", rid)``).  Hash tables built
+    from resident build sides are themselves cached per (chain, stage,
+    rid).  ``chain`` and ``flush`` messages get no reply.
     """
     from repro.engine.fused import _build_table
 
@@ -212,53 +205,40 @@ def _pool_worker_main(conn) -> None:
             return enc[2]
         return resident[enc[1]]
 
-    while True:
-        try:
-            msg = conn.recv()
-        except (EOFError, OSError):
-            break
+    def handle(msg):
         kind = msg[0]
-        if kind == "shutdown":
-            break
-        try:
-            if kind == "chain":
-                _kind, key, spec = msg
-                chains[key] = _compile_spec(spec)
-                continue  # fire-and-forget: the batch follows on the pipe
-            if kind == "flush":
-                resident.clear()
-                built_cache.clear()
+        if kind == "chain":
+            _kind, key, spec = msg
+            chains[key] = _compile_spec(spec)
+            return None  # fire-and-forget: the batch follows on the pipe
+        if kind == "flush":
+            resident.clear()
+            built_cache.clear()
+            return None
+        _kind, chain_key, stage_idx, tables, morsels, params = msg
+        stage = chains[chain_key].stages[stage_idx]
+        built = []
+        for enc in tables:
+            if enc[0] == "x":
+                built.append(_build_table(enc[1], stage.r_pos))
                 continue
-            _kind, chain_key, stage_idx, tables, morsels, params = msg
-            stage = chains[chain_key].stages[stage_idx]
-            built = []
-            for enc in tables:
-                if enc[0] == "x":
-                    built.append(_build_table(enc[1], stage.r_pos))
-                    continue
-                i_rows = rows_of(enc)
-                bkey = (chain_key, stage_idx, enc[1])
-                table = built_cache.get(bkey)
-                if table is None:
-                    table = built_cache[bkey] = _build_table(
-                        i_rows, stage.r_pos
-                    )
-                built.append(table)
-            results = [
-                _run_morsel(
-                    stage, rows_of(o_enc),
-                    built[t_idx] if t_idx is not None else None,
-                    params,
-                )
-                for o_enc, t_idx in morsels
-            ]
-            conn.send(("ok", results))
-        except Exception as exc:  # noqa: BLE001 - downgraded to response
-            try:
-                conn.send(("error", f"{type(exc).__name__}: {exc}"))
-            except Exception:
-                break
-    conn.close()
+            i_rows = rows_of(enc)
+            bkey = (chain_key, stage_idx, enc[1])
+            table = built_cache.get(bkey)
+            if table is None:
+                table = built_cache[bkey] = _build_table(i_rows, stage.r_pos)
+            built.append(table)
+        results = [
+            _run_morsel(
+                stage, rows_of(o_enc),
+                built[t_idx] if t_idx is not None else None,
+                params,
+            )
+            for o_enc, t_idx in morsels
+        ]
+        return {"ok": True, "results": results}
+
+    serve(conn, handle)
 
 
 class MorselPool:
@@ -287,8 +267,9 @@ class MorselPool:
         #: ``stats()`` works without a configured registry.
         self.telemetry = telemetry if telemetry is not None else NULL_METRICS
         self._registry = MetricsRegistry(namespace="")
-        self._procs: list = []
-        self._conns: list = []
+        #: Supervised worker handles (repro.gpos.workers), empty until
+        #: the first dispatch and after a shutdown.
+        self._workers: list[Worker] = []
         #: Per-worker set of chain keys already shipped + compiled there.
         self._known: list[set[int]] = []
         #: Resident row-set cache: pinned rows (rid -> strong ref, so
@@ -307,30 +288,17 @@ class MorselPool:
     # ------------------------------------------------------------------
     @property
     def started(self) -> bool:
-        return bool(self._procs)
+        return bool(self._workers)
 
     def ensure_started(self) -> None:
-        if self._procs or self._closed:
+        if self._workers or self._closed:
             return
-        ctx = multiprocessing.get_context(
-            "fork"
-            if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn"
-        )
-        for i in range(self.workers):
-            parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(
-                target=_pool_worker_main,
-                args=(child_conn,),
-                name=f"{self.name}-{i}",
-                daemon=True,
-            )
-            proc.start()
-            child_conn.close()
-            self._procs.append(proc)
-            self._conns.append(parent_conn)
-            self._known.append(set())
-            self._resident.append(set())
+        self._workers = [
+            Worker(f"{self.name}-{i}", _pool_worker_main)
+            for i in range(self.workers)
+        ]
+        self._known = [set() for _ in self._workers]
+        self._resident = [set() for _ in self._workers]
         self._registry.set_gauge("morsel_pool_workers", self.workers)
         if self.telemetry.enabled:
             self.telemetry.set_gauge("morsel_pool_workers", self.workers)
@@ -346,8 +314,8 @@ class MorselPool:
         self._pinned_rows = 0
         for rids in self._resident:
             rids.clear()
-        for conn in self._conns:
-            conn.send(("flush",))
+        for worker in self._workers:
+            worker.send(("flush",))
         self._registry.inc("morsel_cache_flushes_total")
         if self.telemetry.enabled:
             self.telemetry.inc("morsel_cache_flushes_total")
@@ -388,7 +356,7 @@ class MorselPool:
         resident cache (the fused engine sets it for stage 0, whose
         buckets are served by the scan cache with stable identity);
         build sides are always cached.  Returns ``[(counters, payload),
-        ...]`` aligned with the input order.  A dead or misbehaving
+        ...]`` aligned with the input order.  A dead, wedged or failing
         worker poisons only this query: the pool shuts down, raises
         ExecutionError, and respawns on the next dispatch.
         """
@@ -417,33 +385,28 @@ class MorselPool:
                     self._encode_rows(w, rows, cache_source), t_idx
                 ))
             for w in range(width):
-                conn = self._conns[w]
+                worker = self._workers[w]
                 if chain_key not in self._known[w]:
-                    conn.send(("chain", chain_key, make_spec()))
+                    worker.send(("chain", chain_key, make_spec()))
                     self._known[w].add(chain_key)
-                conn.send((
+                worker.send((
                     "batch", chain_key, stage_idx, tables[w], batches[w],
                     params,
                 ))
+            replies = gather(self._workers[:width], GATHER_TIMEOUT_SECONDS)
             results: list = [None] * n
-            for w in range(width):
-                reply = self._conns[w].recv()
-                if reply[0] != "ok":
+            for w, reply in enumerate(replies):
+                if not reply["ok"]:
                     raise ExecutionError(
-                        f"morsel worker {w} failed: {reply[1]}"
+                        f"morsel worker {w} failed: "
+                        f"{reply['error_class']}: {reply['message']}"
                     )
-                for k, res in enumerate(reply[1]):
+                for k, res in enumerate(reply["results"]):
                     results[w + k * width] = res
-        except (EOFError, OSError, BrokenPipeError) as exc:
+        except (WorkerLost, ExecutionError) as exc:
             self.shutdown()
-            self._closed = False  # poisoned query, not a closed pool
-            raise ExecutionError(
-                f"morsel pool lost a worker mid-stage: {exc}"
-            ) from exc
-        except ExecutionError:
-            self.shutdown()
-            self._closed = False
-            raise
+            self._closed = False  # a poisoned query, not a closed pool
+            raise ExecutionError(f"morsel pool failed mid-stage: {exc}") from exc
         elapsed = time.perf_counter() - start
         shipped = self._shipped - shipped0
         reused = self._reused - reused0
@@ -486,30 +449,12 @@ class MorselPool:
         }
 
     def shutdown(self, timeout: float = 2.0) -> None:
-        """Drain the pool: ask workers to exit, then join (terminate on
-        a deadline).  Idempotent; no child processes survive."""
+        """Drain the pool: stop every worker (ask, then terminate, then
+        kill).  Idempotent; no child processes survive."""
         self._closed = True
-        for conn in self._conns:
-            try:
-                conn.send(("shutdown",))
-            except (OSError, BrokenPipeError):
-                pass
-        for conn in self._conns:
-            try:
-                conn.close()
-            except OSError:
-                pass
-        deadline = time.monotonic() + timeout
-        for proc in self._procs:
-            proc.join(timeout=max(0.0, deadline - time.monotonic()))
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=1.0)
-            if proc.is_alive():  # pragma: no cover - last resort
-                proc.kill()
-                proc.join(timeout=1.0)
-        self._procs = []
-        self._conns = []
+        for worker in self._workers:
+            worker.stop(timeout)
+        self._workers = []
         self._known = []
         self._resident = []
         self._pinned = {}
@@ -523,7 +468,7 @@ class MorselPool:
 
     def __del__(self):  # pragma: no cover - GC safety net
         try:
-            if self._procs:
+            if self._workers:
                 self.shutdown(timeout=0.1)
         except Exception:
             pass

@@ -14,7 +14,8 @@ governed session:
   every worker's LRU is backed by one
   :class:`repro.fleet.shared.SharedPlanStore`, so a shape optimized on
   worker A hits — and re-binds — from worker B.
-- **Health** is actively managed: requests carry a timeout, heartbeats
+- **Health** is actively managed: workers are supervised children
+  (:mod:`repro.gpos.workers`), requests carry a timeout, heartbeats
   (:meth:`Fleet.health_check`) probe liveness, and a dead or wedged
   worker is killed, restarted, and its request re-routed — the
   availability contract is that chaos kills processes, never queries.
@@ -30,10 +31,9 @@ suite pins ``Fleet`` plans against ``SessionPool`` plans text-for-text.
 
 from __future__ import annotations
 
-import multiprocessing
 import threading
 import time
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -43,6 +43,7 @@ from repro.errors import FleetError, OptimizerError, ReproError, WorkerError
 from repro.fleet.routing import RoutingPolicy, WorkerView, make_policy
 from repro.fleet.shared import SharedFeedbackBoard, SharedPlanStore
 from repro.fleet.worker import WorkerSpec, worker_main
+from repro.gpos.workers import CONTEXT, Worker, WorkerLost
 from repro.ops.scalar import ColRef
 from repro.search.plan import PlanNode
 from repro.telemetry.registry import MetricsRegistry
@@ -79,22 +80,22 @@ class FleetResult:
         return self.plan.explain()
 
 
-class _Worker:
-    """Orchestrator-side handle on one worker process."""
+#: ``fleet_requests_total`` outcome of a request whose worker was lost.
+_RETRY_OUTCOMES = {"wedged": "retry_wedged", "died": "retry_dead"}
 
-    def __init__(self, worker_id: int):
+
+class _Worker(Worker):
+    """Orchestrator-side handle on one worker process: the supervised
+    child plus the fleet's routing view and restart bookkeeping."""
+
+    def __init__(self, worker_id: int, name: str, spec: WorkerSpec):
         self.worker_id = worker_id
-        self.process = None
-        self.conn = None
         self.view = WorkerView(worker_id)
         self.incarnation = 0
         #: Cumulative per-plan-source counts already folded into the
         #: registry (delta accounting across stats collections).
         self.folded_sources: dict[str, int] = {}
-
-    @property
-    def alive(self) -> bool:
-        return self.process is not None and self.process.is_alive()
+        super().__init__(name, worker_main, worker_id, spec)
 
 
 class Fleet:
@@ -122,11 +123,9 @@ class Fleet:
         fault_rate: float = 0.0,
         request_timeout_seconds: float = 60.0,
         heartbeat_timeout_seconds: float = 5.0,
-        heartbeat_interval_seconds: Optional[float] = None,
         shared_cache_capacity: int = 256,
         telemetry: Optional[MetricsRegistry] = None,
         name: str = "fleet",
-        mp_start_method: Optional[str] = None,
         tracer=None,
         flight_dir: Optional[str] = None,
         flight_capacity: int = 64,
@@ -144,13 +143,8 @@ class Fleet:
         self.name = name
         self.num_workers = workers
         self.policy: RoutingPolicy = make_policy(policy)
-        self.fallback = fallback
-        self.max_retries = max_retries
-        self.retry_backoff_seconds = retry_backoff_seconds
         self.fault_specs = tuple(fault_specs)
         self.per_worker_faults = dict(per_worker_faults or {})
-        self.fault_seed = fault_seed
-        self.fault_rate = fault_rate
         self.request_timeout_seconds = request_timeout_seconds
         self.heartbeat_timeout_seconds = heartbeat_timeout_seconds
         self.telemetry = (
@@ -161,22 +155,15 @@ class Fleet:
         #: injected into the request dict, and the worker's spans are
         #: adopted back into this tracer's timeline — one stitched trace.
         self.tracer = tracer
-        #: Worker flight-recorder / slow-log knobs (shipped in the spec).
-        self.flight_dir = flight_dir
-        self.flight_capacity = flight_capacity
-        self.slow_query_ms = slow_query_ms
         self.closed = False
 
-        methods = multiprocessing.get_all_start_methods()
-        start = mp_start_method or ("fork" if "fork" in methods else "spawn")
-        self._ctx = multiprocessing.get_context(start)
         #: One manager process backs all cross-process state; only
         #: started when some subsystem actually shares state.
         self._manager = None
         self.shared_plans: Optional[SharedPlanStore] = None
         self.feedback_board: Optional[SharedFeedbackBoard] = None
         if config.enable_plan_cache or config.enable_cardinality_feedback:
-            self._manager = self._ctx.Manager()
+            self._manager = CONTEXT.Manager()
             if config.enable_plan_cache:
                 self.shared_plans = SharedPlanStore(
                     self._manager, capacity=shared_cache_capacity
@@ -184,70 +171,53 @@ class Fleet:
             if config.enable_cardinality_feedback:
                 self.feedback_board = SharedFeedbackBoard(self._manager)
 
+        #: What every worker is built from; _spec_for adds the per-worker
+        #: fault schedule and the incarnation.
+        self._spec = WorkerSpec(
+            catalog=catalog,
+            config=config,
+            fallback=fallback,
+            max_retries=max_retries,
+            retry_backoff_seconds=retry_backoff_seconds,
+            fault_seed=fault_seed,
+            fault_rate=fault_rate,
+            shared_plans=self.shared_plans,
+            feedback_board=self.feedback_board,
+            flight_dir=flight_dir,
+            flight_capacity=flight_capacity,
+            slow_query_ms=slow_query_ms,
+        )
         self._lock = threading.RLock()
-        self._req_counter = 0
         self.requests_attempted = 0
         self.requests_served = 0
         self.restarts_total = 0
-        self._workers = [_Worker(i) for i in range(workers)]
+        self._workers = [
+            _Worker(i, f"{name}-worker-{i}", self._spec_for(i, 0))
+            for i in range(workers)
+        ]
         self.telemetry.set_gauge("fleet_workers", workers)
         for worker in self._workers:
-            self._spawn(worker)
-
-        self._hb_stop = threading.Event()
-        self._hb_thread = None
-        if heartbeat_interval_seconds is not None:
-            self._hb_thread = threading.Thread(
-                target=self._heartbeat_loop,
-                args=(heartbeat_interval_seconds,),
-                daemon=True,
-            )
-            self._hb_thread.start()
+            self._mark_up(worker)
 
     # ------------------------------------------------------------------
     # Worker lifecycle
     # ------------------------------------------------------------------
-    def _spec_for(self, worker: _Worker) -> WorkerSpec:
+    def _spec_for(self, worker_id: int, incarnation: int) -> WorkerSpec:
         explicit = tuple(self.fault_specs) + tuple(
-            self.per_worker_faults.get(worker.worker_id, ())
+            self.per_worker_faults.get(worker_id, ())
         )
-        if worker.incarnation > 0:
+        if incarnation > 0:
             # Never re-arm process-level faults: the restarted worker
             # must come back healthy (seeded-rate faults *are* re-armed,
             # with a shifted seed, so soaks keep injecting).
             explicit = tuple(
                 s for s in explicit if s.kind not in _PROCESS_FAULT_KINDS
             )
-        return WorkerSpec(
-            catalog=self.catalog,
-            config=self.config,
-            fallback=self.fallback,
-            max_retries=self.max_retries,
-            retry_backoff_seconds=self.retry_backoff_seconds,
-            fault_specs=explicit,
-            fault_seed=self.fault_seed,
-            fault_rate=self.fault_rate,
-            shared_plans=self.shared_plans,
-            feedback_board=self.feedback_board,
-            incarnation=worker.incarnation,
-            flight_dir=self.flight_dir,
-            flight_capacity=self.flight_capacity,
-            slow_query_ms=self.slow_query_ms,
-            fleet_workers=len(self._workers),
+        return replace(
+            self._spec, fault_specs=explicit, incarnation=incarnation
         )
 
-    def _spawn(self, worker: _Worker) -> None:
-        parent_conn, child_conn = self._ctx.Pipe()
-        process = self._ctx.Process(
-            target=worker_main,
-            args=(worker.worker_id, child_conn, self._spec_for(worker)),
-            name=f"{self.name}-worker-{worker.worker_id}",
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        worker.process = process
-        worker.conn = parent_conn
+    def _mark_up(self, worker: _Worker) -> None:
         worker.view.alive = True
         worker.view.in_flight = 0
         self.telemetry.set_gauge(
@@ -256,14 +226,6 @@ class Fleet:
 
     def _restart(self, worker: _Worker, reason: str) -> None:
         """Kill (if needed) and respawn one worker; fleet-visible."""
-        process = worker.process
-        if process is not None:
-            if process.is_alive():
-                process.kill()
-            process.join(timeout=10)
-        if worker.conn is not None:
-            worker.conn.close()
-        worker.view.alive = False
         worker.incarnation += 1
         worker.view.restarts += 1
         self.restarts_total += 1
@@ -277,18 +239,15 @@ class Fleet:
                 worker=worker.worker_id, reason=reason,
                 incarnation=worker.incarnation,
             )
-        self.telemetry.set_gauge(
-            "fleet_worker_up", 0, worker=str(worker.worker_id)
+        worker.restart(
+            worker.worker_id,
+            self._spec_for(worker.worker_id, worker.incarnation),
         )
-        self._spawn(worker)
+        self._mark_up(worker)
 
     # ------------------------------------------------------------------
     # Request routing
     # ------------------------------------------------------------------
-    def _next_id(self) -> int:
-        self._req_counter += 1
-        return self._req_counter
-
     def _views(self) -> list[WorkerView]:
         return [w.view for w in self._workers]
 
@@ -335,7 +294,7 @@ class Fleet:
                     "fleet_routing_total",
                     policy=self.policy.name, worker=str(worker_id),
                 )
-                request = {"id": self._next_id(), "kind": kind, **payload}
+                request = {"kind": kind, **payload}
                 tracer = (
                     self.tracer
                     if self.tracer is not None and self.tracer.enabled
@@ -360,23 +319,16 @@ class Fleet:
                                 "parent_span_id": req_span.span_id,
                             }
                             base = tracer.now()
-                        worker.conn.send(request)
-                        if not worker.conn.poll(self.request_timeout_seconds):
-                            raise TimeoutError
-                        response = worker.conn.recv()
-                except TimeoutError:
+                        response = worker.call(
+                            request, self.request_timeout_seconds
+                        )
+                except WorkerLost as lost:
                     worker.view.in_flight -= 1
                     self.telemetry.inc(
-                        "fleet_requests_total", outcome="retry_wedged"
+                        "fleet_requests_total",
+                        outcome=_RETRY_OUTCOMES[lost.reason],
                     )
-                    self._restart(worker, "wedged")
-                    continue
-                except (EOFError, OSError):
-                    worker.view.in_flight -= 1
-                    self.telemetry.inc(
-                        "fleet_requests_total", outcome="retry_dead"
-                    )
-                    self._restart(worker, "died")
+                    self._restart(worker, lost.reason)
                     continue
                 worker.view.in_flight -= 1
                 worker.view.completed += 1
@@ -461,18 +413,11 @@ class Fleet:
         if not worker.alive:
             self._restart(worker, "died")
             return "restarted_dead"
-        request = {"id": self._next_id(), "kind": "ping"}
         try:
-            worker.conn.send(request)
-            if not worker.conn.poll(self.heartbeat_timeout_seconds):
-                raise TimeoutError
-            worker.conn.recv()
-        except TimeoutError:
-            self._restart(worker, "wedged")
-            return "restarted_wedged"
-        except (EOFError, OSError):
-            self._restart(worker, "died")
-            return "restarted_dead"
+            worker.call({"kind": "ping"}, self.heartbeat_timeout_seconds)
+        except WorkerLost as lost:
+            self._restart(worker, lost.reason)
+            return "restarted_" + ("wedged" if lost.reason == "wedged" else "dead")
         return "ok"
 
     def health_check(self) -> dict[int, str]:
@@ -488,15 +433,6 @@ class Fleet:
                 )
         return out
 
-    def _heartbeat_loop(self, interval: float) -> None:
-        while not self._hb_stop.wait(interval):
-            if self.closed:
-                return
-            try:
-                self.health_check()
-            except Exception:  # pragma: no cover - monitor must not die
-                pass
-
     # ------------------------------------------------------------------
     # Chaos handles (deterministic, orchestrator-driven)
     # ------------------------------------------------------------------
@@ -506,13 +442,9 @@ class Fleet:
         with self._lock:
             worker = self._workers[worker_id]
             if worker.alive:
-                try:
-                    worker.conn.send(
-                        {"id": self._next_id(), "kind": "die"}
-                    )
-                    worker.process.join(timeout=10)
-                except (BrokenPipeError, OSError):
-                    pass
+                with suppress(WorkerLost):
+                    worker.send({"kind": "die"})
+                worker.process.join(timeout=10)
             self._restart(worker, "chaos_kill")
 
     def wedge_worker(self, worker_id: int, seconds: float = 3600.0) -> None:
@@ -521,11 +453,8 @@ class Fleet:
         with self._lock:
             worker = self._workers[worker_id]
             try:
-                worker.conn.send({
-                    "id": self._next_id(), "kind": "wedge",
-                    "seconds": seconds,
-                })
-            except (BrokenPipeError, OSError):
+                worker.send({"kind": "wedge", "seconds": seconds})
+            except WorkerLost:
                 self._restart(worker, "died")
 
     # ------------------------------------------------------------------
@@ -562,18 +491,15 @@ class Fleet:
         """One direct (non-routed) request to a specific worker."""
         if not worker.alive:
             self._restart(worker, "died")
-        request = {"id": self._next_id(), "kind": kind, **payload}
         try:
-            worker.conn.send(request)
-            if not worker.conn.poll(self.request_timeout_seconds):
-                raise TimeoutError
-            response = worker.conn.recv()
-        except TimeoutError:
-            self._restart(worker, "wedged")
-            raise FleetError(f"worker {worker.worker_id} wedged on {kind}")
-        except (EOFError, OSError):
-            self._restart(worker, "died")
-            raise FleetError(f"worker {worker.worker_id} died on {kind}")
+            response = worker.call(
+                {"kind": kind, **payload}, self.request_timeout_seconds
+            )
+        except WorkerLost as lost:
+            self._restart(worker, lost.reason)
+            raise FleetError(
+                f"worker {worker.worker_id} {lost.reason} on {kind}"
+            ) from None
         if not response.get("ok", False):
             self._raise_remote(worker.worker_id, response)
         return response, worker.worker_id
@@ -616,26 +542,19 @@ class Fleet:
                 info = {"drained": False, "exitcode": None}
                 if worker.alive:
                     try:
-                        request = {"id": self._next_id(), "kind": "drain"}
-                        worker.conn.send(request)
-                        if worker.conn.poll(self.request_timeout_seconds):
-                            response = worker.conn.recv()
-                            if response.get("drained"):
-                                info["drained"] = True
-                                self._fold_worker_stats(worker, response)
-                                info["stats"] = {
-                                    k: response.get(k)
-                                    for k in ("session", "plan_cache",
-                                              "feedback")
-                                }
-                    except (BrokenPipeError, EOFError, OSError):
-                        pass
-                    worker.process.join(timeout=10)
-                if worker.process is not None:
-                    if worker.process.is_alive():
-                        worker.process.kill()
-                        worker.process.join(timeout=10)
-                    info["exitcode"] = worker.process.exitcode
+                        response = worker.call(
+                            {"kind": "stats"}, self.request_timeout_seconds
+                        )
+                    except WorkerLost:
+                        response = {}
+                    if response.get("ok"):
+                        info["drained"] = True
+                        self._fold_worker_stats(worker, response)
+                        info["stats"] = {
+                            k: response.get(k)
+                            for k in ("session", "plan_cache", "feedback")
+                        }
+                info["exitcode"] = worker.stop(timeout=10)
                 worker.view.alive = False
                 self.telemetry.set_gauge(
                     "fleet_worker_up", 0, worker=str(worker.worker_id)
@@ -644,14 +563,11 @@ class Fleet:
         return out
 
     def close(self) -> dict[int, dict]:
-        """Drain, stop the heartbeat, and shut shared state down."""
+        """Drain every worker and shut shared state down."""
         if self.closed:
             return {}
-        self._hb_stop.set()
         drained = self.drain()
         self.closed = True
-        if self._hb_thread is not None:
-            self._hb_thread.join(timeout=5)
         if self._manager is not None:
             self._manager.shutdown()
         return drained

@@ -4,12 +4,12 @@
 :class:`repro.service.Session` over the spec's catalog — wiring in the
 shared plan store, the shared feedback board, and (for chaos runs) a
 deterministic :class:`repro.service.FaultInjector` — then serves
-requests off its pipe until drained or killed.
+requests off its pipe until told goodbye or killed.
 
 The protocol is one request dict in, one response dict out, in order
-(the orchestrator never pipelines to a single worker).  Every response
-echoes the request ``id``; ``ok`` distinguishes results from typed
-errors.  Anything that cannot be pickled back — or any unexpected
+(the orchestrator never pipelines to a single worker), served by
+:func:`repro.gpos.workers.serve`.  ``ok`` distinguishes results from
+typed errors.  Anything that cannot be pickled back — or any unexpected
 exception — is downgraded to an error response rather than killing the
 worker, so only *injected* process faults (kill/wedge) and real crashes
 take a worker down.
@@ -19,23 +19,17 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.config import OptimizerConfig
 from repro.errors import ReproError
+from repro.gpos.workers import error_reply, serve
 from repro.obs.flight import FlightRecorder
 from repro.obs.slowlog import SlowQueryLog
 from repro.service.faults import FaultInjector, FaultSpec, KILLED_EXIT_CODE
 from repro.service.session import Session
 from repro.telemetry.stats_store import QueryStatsStore
-
-#: Request kinds a worker understands.
-REQUEST_KINDS = (
-    "optimize", "execute", "explain", "ping", "stats", "bump_catalog",
-    "drain", "die", "wedge",
-)
-
 
 @dataclass
 class WorkerSpec:
@@ -65,24 +59,12 @@ class WorkerSpec:
     flight_capacity: int = 64
     #: Slow-query log threshold in milliseconds (None = disabled).
     slow_query_ms: Optional[float] = None
-    #: How many fleet workers share this machine; build_session caps the
-    #: config's morsel ``parallelism`` to ``cpu_count // fleet_workers``
-    #: so a fleet cannot fork-bomb the box.  (Fleet workers are daemonic
-    #: processes, which cannot fork at all — the engine additionally
-    #: degrades them to the serial path at runtime — but the cap also
-    #: protects non-daemonic embeddings that reuse WorkerSpec.)
-    fleet_workers: int = 1
 
 
 def build_session(worker_id: int, spec: WorkerSpec) -> Session:
-    """Construct the worker's governed session from its spec."""
-    config = spec.config
-    if config.parallelism >= 2 and spec.fleet_workers > 1:
-        from repro.engine.parallel import fleet_parallelism_cap
-
-        capped = fleet_parallelism_cap(config.parallelism, spec.fleet_workers)
-        if capped != config.parallelism:
-            config = replace(config, parallelism=capped)
+    """Construct the worker's governed session from its spec.  (Fleet
+    workers are daemonic, so a configured morsel ``parallelism`` runs
+    serially: see :func:`repro.engine.parallel.effective_parallelism`.)"""
     faults = None
     if spec.fault_specs or (spec.fault_seed is not None and spec.fault_rate > 0):
         seed = spec.fault_seed
@@ -114,7 +96,7 @@ def build_session(worker_id: int, spec: WorkerSpec) -> Session:
         stats_store = QueryStatsStore()
     session = Session(
         spec.catalog,
-        config=config,
+        config=spec.config,
         fallback=spec.fallback,
         max_retries=spec.max_retries,
         retry_backoff_seconds=spec.retry_backoff_seconds,
@@ -205,75 +187,41 @@ def handle_request(session: Session, request: dict) -> dict:
     }
 
 
-def worker_main(worker_id: int, conn, spec: WorkerSpec) -> None:
-    """Process entry point: serve requests until drained."""
-    session = build_session(worker_id, spec)
+def serve_request(session: Session, worker_id: int, request: dict) -> dict:
+    """Serve one request under the flight recorder: the response carries
+    the worker's spans, and a crash or governor trip leaves a dump."""
     recorder = session.flight
-    while True:
-        try:
-            request = conn.recv()
-        except (EOFError, OSError):
-            break  # orchestrator went away; nothing left to serve
-        req_id = request.get("id")
-        if request["kind"] == "drain":
-            conn.send({
-                "id": req_id, "ok": True, "drained": True,
-                **_worker_stats(session),
-            })
-            break
-        # Adopt the orchestrator's trace context: the record (and every
-        # span under it) carries the query's trace_id, and the worker's
-        # root span hangs off the orchestrator's request span.
-        trace_ctx = request.get("trace") or {}
-        record = None
-        if recorder is not None:
-            record = recorder.begin(
-                request.get("sql") or request["kind"],
-                trace_id=trace_ctx.get("trace_id"),
-                parent_span_id=trace_ctx.get("parent_span_id"),
-                kind=request["kind"],
-                worker=worker_id,
-            )
-        trips_before = session.metrics.timeouts + session.metrics.quota_trips
-        try:
-            if recorder is not None:
-                with recorder.tracer.span(
-                    f"worker:{request['kind']}", worker=worker_id
-                ):
-                    response = handle_request(session, request)
-            else:
-                response = handle_request(session, request)
-        except ReproError as exc:
-            response = {
-                "ok": False,
-                "error_class": type(exc).__name__,
-                "code": exc.code,
-                "message": str(exc),
-            }
-        except Exception as exc:  # pragma: no cover - defensive
-            if recorder is not None:
-                recorder.dump("worker_exception")
-            response = {
-                "ok": False, "error_class": type(exc).__name__,
-                "code": "WORKER", "message": str(exc),
-            }
-        if record is not None:
-            trips = session.metrics.timeouts + session.metrics.quota_trips
-            if trips > trips_before:
-                # Governor trip: flush while the query is still the
-                # in-flight record, so the dump shows what tripped it.
-                recorder.dump("governor_trip")
-            recorder.end()
-            response["spans"] = [s.to_dict() for s in record.spans]
-            response["trace_id"] = record.trace_id
-        response["id"] = req_id
-        try:
-            conn.send(response)
-        except Exception as exc:
-            # Unpicklable payload: degrade to an error, keep serving.
-            conn.send({
-                "id": req_id, "ok": False, "error_class": type(exc).__name__,
-                "code": "WORKER",
-                "message": f"response serialization failed: {exc}",
-            })
-    conn.close()
+    # Adopt the orchestrator's trace context: the record (and every span
+    # under it) carries the query's trace_id, and the worker's root span
+    # hangs off the orchestrator's request span.
+    trace_ctx = request.get("trace") or {}
+    record = recorder.begin(
+        request.get("sql") or request["kind"],
+        trace_id=trace_ctx.get("trace_id"),
+        parent_span_id=trace_ctx.get("parent_span_id"),
+        kind=request["kind"],
+        worker=worker_id,
+    )
+    trips_before = session.metrics.timeouts + session.metrics.quota_trips
+    try:
+        with recorder.tracer.span(f"worker:{request['kind']}", worker=worker_id):
+            response = handle_request(session, request)
+    except Exception as exc:  # noqa: BLE001 - downgraded to a response
+        if not isinstance(exc, ReproError):
+            recorder.dump("worker_exception")
+        response = error_reply(exc)
+    trips = session.metrics.timeouts + session.metrics.quota_trips
+    if trips > trips_before:
+        # Governor trip: flush while the query is still the in-flight
+        # record, so the dump shows what tripped it.
+        recorder.dump("governor_trip")
+    recorder.end()
+    response["spans"] = [s.to_dict() for s in record.spans]
+    response["trace_id"] = record.trace_id
+    return response
+
+
+def worker_main(conn, worker_id: int, spec: WorkerSpec) -> None:
+    """Process entry point: serve requests until told goodbye."""
+    session = build_session(worker_id, spec)
+    serve(conn, lambda request: serve_request(session, worker_id, request))

@@ -154,9 +154,15 @@ def _plan_constants(plan: PlanNode) -> Optional[list[tuple]]:
 
 
 def _rebind_plan(plan: PlanNode, mapping: dict[tuple, Any]) -> None:
-    """Substitute new parameter values into a (deep-copied) plan tree."""
+    """Substitute new parameter values into a (deep-copied) plan tree.
+    Plan nodes can share operators and scalar nodes; each is rewritten
+    once, or a new value equal to another old one would be re-mapped."""
+    seen: set[int] = set()
 
     def rewrite(expr: ScalarExpr) -> None:
+        if id(expr) in seen:
+            return
+        seen.add(id(expr))
         if isinstance(expr, Literal):
             expr.value = mapping.get(_pkey(expr.value), expr.value)
         elif isinstance(expr, InList):
@@ -166,6 +172,9 @@ def _rebind_plan(plan: PlanNode, mapping: dict[tuple, Any]) -> None:
 
     for node in plan.walk():
         op = node.op
+        if id(op) in seen:
+            continue
+        seen.add(id(op))
         if isinstance(op, PhysicalIndexScan):
             if op.lo is not None:
                 op.lo = mapping.get(_pkey(op.lo), op.lo)

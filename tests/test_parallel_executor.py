@@ -12,14 +12,17 @@ every per-node NodeStats field, the rendered EXPLAIN ANALYZE — and
 
 Lifecycle is covered adversarially: pools are reused across queries,
 drained on ``Session.close()``, drained on a governor trip mid-query,
-and a killed worker poisons only the in-flight query — the next
+and a killed or wedged worker poisons only the in-flight query — the next
 dispatch respawns a fresh pool.  No child process ever survives close.
 """
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
+import signal
+import threading
 import time
 
 import pytest
@@ -31,7 +34,6 @@ from repro.engine import Cluster, Executor
 from repro.engine.parallel import (
     MorselPool,
     effective_parallelism,
-    fleet_parallelism_cap,
     make_pool,
 )
 from repro.errors import ExecutionError, TimeoutError_
@@ -236,10 +238,12 @@ def test_session_pool_lazy_reused_and_drained(small_session):
     stats = session.morsel_stats()
     assert stats is not None and stats["morsels_dispatched"] > 0
     pool = session._morsel_pool
-    procs = list(pool._procs)
+    procs = [w.process for w in pool._workers]
     assert procs and all(p.is_alive() for p in procs)
     session.execute(SQL)  # same pool, same workers: reuse, not respawn
-    assert session._morsel_pool is pool and pool._procs == procs
+    assert session._morsel_pool is pool and [
+        w.process for w in pool._workers
+    ] == procs
     session.close()
     assert all(not p.is_alive() for p in procs)
     assert session._morsel_pool is None
@@ -280,7 +284,7 @@ def test_executor_owned_pool_drained_on_trip(small_session):
     )
     assert ex._owns_pool
     ex._morsel_pool.ensure_started()
-    procs = list(ex._morsel_pool._procs)
+    procs = [w.process for w in ex._morsel_pool._workers]
     assert all(p.is_alive() for p in procs)
     with pytest.raises(TimeoutError_):
         ex.execute(result.plan, result.output_cols)
@@ -292,7 +296,7 @@ def test_executor_owned_pool_drained_on_trip(small_session):
 def test_killed_worker_poisons_query_not_pool(small_session):
     session = small_session
     session.execute(SQL)
-    victim = session._morsel_pool._procs[0]
+    victim = session._morsel_pool._workers[0].process
     victim.terminate()
     victim.join(timeout=5.0)
     with pytest.raises(ExecutionError):
@@ -300,6 +304,47 @@ def test_killed_worker_poisons_query_not_pool(small_session):
     assert not _alive_children(SESSION_POOL)  # poisoned pool fully drained
     execution = session.execute(SQL)  # fresh pool, query succeeds
     assert execution.rows
+    assert session.morsel_stats()["morsels_dispatched"] > 0
+
+
+def test_wedged_worker_fails_query_within_deadline(small_session, monkeypatch):
+    """A worker that stops answering (SIGSTOP) must fail its query with
+    ExecutionError once the gather deadline passes, not hang it; the
+    stopped worker is reaped and the next query runs on a fresh pool.
+    The wedged execute runs in a daemon thread joined with a bound, so
+    a regression fails this test instead of hanging the suite."""
+    deadline = 1.0
+    monkeypatch.setattr(
+        "repro.engine.parallel.GATHER_TIMEOUT_SECONDS", deadline,
+        raising=False,
+    )
+    session = small_session
+    expected = session.execute(SQL).rows
+    victim = _alive_children(SESSION_POOL)[0]
+    outcome: dict = {}
+
+    def wedged_execute():
+        start = time.monotonic()
+        try:
+            session.execute(SQL)
+            outcome["error"] = None
+        except Exception as exc:  # noqa: BLE001 - inspected below
+            outcome["error"] = exc
+        outcome["seconds"] = time.monotonic() - start
+
+    os.kill(victim.pid, signal.SIGSTOP)
+    try:
+        thread = threading.Thread(target=wedged_execute, daemon=True)
+        thread.start()
+        thread.join(timeout=deadline + 10.0)
+        assert not thread.is_alive(), "execute hung on a wedged worker"
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(victim.pid, signal.SIGKILL)
+    assert isinstance(outcome["error"], ExecutionError), outcome
+    assert outcome["seconds"] < deadline + 5.0
+    assert not _alive_children(SESSION_POOL)
+    assert session.execute(SQL).rows == expected  # respawned pool
     assert session.morsel_stats()["morsels_dispatched"] > 0
 
 
@@ -325,33 +370,6 @@ def test_effective_parallelism_daemon_guard():
     child.close()
     assert parent.recv() == 1
     proc.join(timeout=5.0)
-
-
-def test_fleet_parallelism_cap():
-    cpus = os.cpu_count() or 1
-    # A whole fleet can never request more total workers than CPUs.
-    assert fleet_parallelism_cap(8, cpus * 8) == 1
-    assert fleet_parallelism_cap(8, 1) == min(8, max(1, cpus))
-    assert fleet_parallelism_cap(1, 4) == 1  # serial stays serial
-    assert fleet_parallelism_cap(0, 4) == 0
-
-
-def test_worker_spec_caps_parallelism():
-    from repro.fleet.worker import WorkerSpec, build_session
-
-    db = make_small_db(t1_rows=50, t2_rows=20)
-    cpus = os.cpu_count() or 1
-    spec = WorkerSpec(
-        catalog=db,
-        config=OptimizerConfig(segments=2, parallelism=8),
-        fleet_workers=cpus * 8,  # cap always lands at 1
-    )
-    session = build_session(0, spec)
-    assert session.config.parallelism == 1
-    session.close()
-    # The spec's own config object is never mutated (it is shared by
-    # every worker the orchestrator spawns).
-    assert spec.config.parallelism == 8
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +478,7 @@ def test_pool_shutdown_is_idempotent_and_del_safe():
     # Abandoned pools are collected without leaking processes.
     pool2 = MorselPool(2, name="abandoned")
     pool2.ensure_started()
-    procs = list(pool2._procs)
+    procs = [w.process for w in pool2._workers]
     del pool2
     deadline = time.monotonic() + 5.0
     while any(p.is_alive() for p in procs) and time.monotonic() < deadline:

@@ -12,6 +12,8 @@ conservative fall-back to a miss whenever re-binding would be unsound.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from repro.optimizer import Orca
 from repro.plancache import PlanCache, fingerprint
 from repro.sql.parser import parse
 from repro.trace import Tracer
+from repro.workloads import QUERIES
 
 from tests.conftest import make_small_db, rows_equal
 
@@ -132,6 +135,40 @@ def test_rebind_handles_in_lists_and_multiple_params(cache_db):
         reference.plan, reference.output_cols
     )
     assert rows_equal(out_cached.rows, out_fresh.rows)
+
+
+CROSS_CHANNEL = next(q for q in QUERIES if q.id == "cross_channel_ratio").sql
+CROSS_CHANNEL = CROSS_CHANNEL.replace(
+    "t.t_hour < 12", "t.t_hour < {a}"
+).replace("t.t_hour >= 12", "t.t_hour >= {b}")
+
+
+@pytest.mark.parametrize(
+    "cached_params, new_params",
+    [((11, 10), (13, 11)), ((10, 11), (11, 13))],
+)
+def test_rebind_substitutes_shared_literals_once(
+    tpcds_db, cached_params, new_params
+):
+    """Regression: a Literal shared by two plan nodes was visited twice,
+    so a new value equal to another old one was substituted again
+    (``t_hour >= 11`` became ``>= 13``)."""
+    config = OptimizerConfig(segments=4)
+    cached = Orca(
+        tpcds_db, config=replace(config, enable_plan_cache=True)
+    )
+    fresh = Orca(tpcds_db, config=config)
+    cluster = Cluster(tpcds_db, segments=4)
+    cached.optimize(CROSS_CHANNEL.format(a=cached_params[0], b=cached_params[1]))
+    sql = CROSS_CHANNEL.format(a=new_params[0], b=new_params[1])
+    rebound = cached.optimize(sql)
+    assert rebound.plan_cache == "rebind"
+    reference = fresh.optimize(sql)
+    out_rebound = Executor(cluster).execute(rebound.plan, rebound.output_cols)
+    out_fresh = Executor(cluster).execute(
+        reference.plan, reference.output_cols
+    )
+    assert out_rebound.rows == out_fresh.rows
 
 
 def test_catalog_change_invalidates(cache_db):
