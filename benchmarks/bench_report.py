@@ -86,23 +86,23 @@ def run_workload(scale: float, segments: int) -> dict:
     cache = cached.plan_cache.stats()
 
     opt_jobs = sum(
-        r.kind_counts.get("Opt(gexpr,req)", 0) for r in rows
+        r.search_stats.kind_counts.get("Opt(gexpr,req)", 0) for r in rows
     )
     base_opt_jobs = sum(
-        r.kind_counts.get("Opt(gexpr,req)", 0) for r in base_rows
+        r.search_stats.kind_counts.get("Opt(gexpr,req)", 0) for r in base_rows
     )
-    pruned_alts = sum(r.pruned_alternatives for r in rows)
-    costed_alts = sum(r.costed_alternatives for r in rows)
+    pruned_alts = sum(r.search_stats.pruned_alternatives for r in rows)
+    costed_alts = sum(r.search_stats.costed_alternatives for r in rows)
     # Interning / derivation-cache counters from the pruned pass.  These
     # are deterministic because that pass is the first optimizer work in
     # this process (the global intern table starts cold).
     intern_hits = sum(r.search_stats.intern_hits for r in rows)
     intern_misses = sum(r.search_stats.intern_misses for r in rows)
     return {
-        "total_jobs": sum(r.jobs_executed for r in rows),
+        "total_jobs": sum(r.search_stats.jobs_executed for r in rows),
         "opt_gexpr_jobs": opt_jobs,
-        "memo_groups": sum(r.num_groups for r in rows),
-        "memo_gexprs": sum(r.num_gexprs for r in rows),
+        "memo_groups": sum(r.search_stats.num_groups for r in rows),
+        "memo_gexprs": sum(r.search_stats.num_gexprs for r in rows),
         "pruning_job_savings": round(1.0 - opt_jobs / base_opt_jobs, 4),
         "pruning_ratio": round(
             pruned_alts / max(pruned_alts + costed_alts, 1), 4
@@ -120,7 +120,8 @@ def run_workload(scale: float, segments: int) -> dict:
             statistics.mean(r.opt_time_seconds for r in rows), 4
         ),
         "avg_memory_mb": round(
-            statistics.mean(r.memory_bytes for r in rows) / (1024 * 1024), 3
+            statistics.mean(r.search_stats.memory_bytes for r in rows)
+            / (1024 * 1024), 3
         ),
     }
 

@@ -1,9 +1,10 @@
 """Flight-recorder overhead microbench: the <2% always-on budget.
 
-The flight recorder (repro.obs.flight) claims NullTracer-class overhead:
-its FlightTracer reports ``enabled = False`` so guarded hot-path call
-sites skip payload construction, and only the ~dozen unconditional
-span sites per query do real work.  This bench measures that claim end
+The flight recorder (repro.obs.flight) claims null-sink-class overhead:
+its tracer (a ``repro.obs.trace.Tracer`` on the flight sink) reports
+``enabled = False`` so guarded hot-path call sites skip payload
+construction, and only the ~dozen unconditional span sites per query do
+real work.  This bench measures that claim end
 to end — optimize+execute of a query mix through a governed session,
 recorder off vs. on — and gates the relative overhead.
 

@@ -53,9 +53,10 @@ from repro.fleet import connect as connect_fleet
 from repro.gpos.governor import ResourceGovernor
 from repro.obs import (
     FlightRecorder,
-    FlightTracer,
     SlowQueryLog,
     Span,
+    TraceEvent,
+    Tracer,
     chrome_trace,
     load_flight_dump,
     tracer_chrome_trace,
@@ -84,9 +85,8 @@ from repro.telemetry import (
     QueryStats,
     QueryStatsStore,
 )
-from repro.trace import NullTracer, TraceEvent, Tracer
 
-__version__ = "2.6.0"
+__version__ = "3.0.0"
 
 __all__ = [
     # Session facade (stable public API)
@@ -132,7 +132,6 @@ __all__ = [
     "FaultSpec",
     # Tracing
     "Tracer",
-    "NullTracer",
     "TraceEvent",
     # Observability: distributed traces, flight recorder, slow-query log
     "Span",
@@ -140,7 +139,6 @@ __all__ = [
     "tracer_chrome_trace",
     "validate_chrome_trace",
     "FlightRecorder",
-    "FlightTracer",
     "load_flight_dump",
     "SlowQueryLog",
     # Telemetry (fleet observability)

@@ -187,7 +187,7 @@ def _config(args) -> OptimizerConfig:
 def _tracer(args):
     """A real Tracer when --trace (or --trace-json) was given, else None."""
     if getattr(args, "trace", False) or getattr(args, "trace_json", None):
-        from repro.trace import Tracer
+        from repro.obs.trace import Tracer
 
         return Tracer()
     return None
@@ -286,9 +286,10 @@ def cmd_memo(args) -> int:
         print("(plan served from the plan cache; no Memo was built)")
     else:
         print(result.memo.dump())
-        print(f"\n{result.num_groups} groups, {result.num_gexprs} group "
-              f"expressions, {result.jobs_executed} jobs, "
-              f"{result.xform_count} rule applications")
+        stats = result.search_stats
+        print(f"\n{stats.num_groups} groups, {stats.num_gexprs} group "
+              f"expressions, {stats.jobs_executed} jobs, "
+              f"{stats.xform_count} rule applications")
     _emit_cache_stats(args, orca)
     _emit_trace(args, tracer)
     return 0
@@ -531,7 +532,7 @@ def cmd_trace(args) -> int:
     import json
 
     from repro.obs import tracer_chrome_trace, validate_chrome_trace
-    from repro.trace import Tracer
+    from repro.obs.trace import Tracer
 
     db = build_populated_db(scale=args.scale, seed=args.seed)
     config = _config(args)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.memo.context import StatsObject
+from repro.obs.trace import NULL_TRACER
 from repro.ops import physical as ph
 from repro.props.distribution import (
     DistributionSpec,
@@ -26,7 +27,6 @@ from repro.props.distribution import (
     SingletonDist,
 )
 from repro.props.required import DerivedProps
-from repro.trace import NULL_TRACER
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import nullcontext, suppress
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -44,6 +44,7 @@ from repro.fleet.routing import RoutingPolicy, WorkerView, make_policy
 from repro.fleet.shared import SharedFeedbackBoard, SharedPlanStore
 from repro.fleet.worker import WorkerSpec, worker_main
 from repro.gpos.workers import CONTEXT, Worker, WorkerLost
+from repro.obs.trace import NULL_TRACER, Tracer
 from repro.ops.scalar import ColRef
 from repro.search.plan import PlanNode
 from repro.telemetry.registry import MetricsRegistry
@@ -126,7 +127,7 @@ class Fleet:
         shared_cache_capacity: int = 256,
         telemetry: Optional[MetricsRegistry] = None,
         name: str = "fleet",
-        tracer=None,
+        tracer: Optional[Tracer] = None,
         flight_dir: Optional[str] = None,
         flight_capacity: int = 64,
         slow_query_ms: Optional[float] = None,
@@ -150,10 +151,6 @@ class Fleet:
         self.telemetry = (
             telemetry if telemetry is not None else MetricsRegistry()
         )
-        #: Orchestrator-side tracer: when set (and enabled), every routed
-        #: request runs under a ``fleet:<kind>`` span, trace context is
-        #: injected into the request dict, and the worker's spans are
-        #: adopted back into this tracer's timeline — one stitched trace.
         self.tracer = tracer
         self.closed = False
 
@@ -224,6 +221,19 @@ class Fleet:
             "fleet_worker_up", 1, worker=str(worker.worker_id)
         )
 
+    @property
+    def tracer(self) -> Tracer:
+        """Orchestrator-side tracer: when it records spans, every routed
+        request runs under a ``fleet:<kind>`` span, trace context is
+        injected into the request dict, and the worker's spans are
+        adopted back into this tracer's timeline — one stitched trace.
+        Assigning None selects the null sink."""
+        return self._tracer
+
+    @tracer.setter
+    def tracer(self, tracer: Optional[Tracer]) -> None:
+        self._tracer = tracer if tracer is not None else NULL_TRACER
+
     def _restart(self, worker: _Worker, reason: str) -> None:
         """Kill (if needed) and respawn one worker; fleet-visible."""
         worker.incarnation += 1
@@ -233,12 +243,11 @@ class Fleet:
             "fleet_restarts_total",
             worker=str(worker.worker_id), reason=reason,
         )
-        if self.tracer is not None and self.tracer.enabled:
-            self.tracer.record(
-                "fleet_restart",
-                worker=worker.worker_id, reason=reason,
-                incarnation=worker.incarnation,
-            )
+        self.tracer.record(
+            "fleet_restart",
+            worker=worker.worker_id, reason=reason,
+            incarnation=worker.incarnation,
+        )
         worker.restart(
             worker.worker_id,
             self._spec_for(worker.worker_id, worker.incarnation),
@@ -295,22 +304,15 @@ class Fleet:
                     policy=self.policy.name, worker=str(worker_id),
                 )
                 request = {"kind": kind, **payload}
-                tracer = (
-                    self.tracer
-                    if self.tracer is not None and self.tracer.enabled
-                    else None
-                )
+                tracer = self.tracer
                 worker.view.in_flight += 1
                 start = time.perf_counter()
-                req_span = None
                 base = 0.0
                 try:
-                    span_cm = (
-                        tracer.span(f"fleet:{kind}", worker=worker_id)
-                        if tracer is not None else nullcontext()
-                    )
-                    with span_cm as req_span:
-                        if tracer is not None:
+                    with tracer.span(
+                        f"fleet:{kind}", worker=worker_id
+                    ) as req_span:
+                        if req_span is not None:
                             # Trace context crosses the pipe as plain
                             # dict entries; the worker parents its spans
                             # under this request span.
@@ -335,7 +337,7 @@ class Fleet:
                 self.telemetry.observe(
                     "fleet_request_seconds", time.perf_counter() - start
                 )
-                if tracer is not None and response.get("spans"):
+                if req_span is not None and response.get("spans"):
                     # Worker span times are relative to its request
                     # begin; rebase them at the moment we sent it.
                     tracer.adopt_spans(

@@ -82,7 +82,7 @@ def build_session(worker_id: int, spec: WorkerSpec) -> Session:
 
         feedback_store = SharedFeedbackStore(board=spec.feedback_board)
     # Always-on flight recorder: ring buffer in memory, dumps to disk
-    # only when the spec names a directory.  Its FlightTracer becomes
+    # only when the spec names a directory.  Its flight-sink tracer is
     # the session tracer (near-zero overhead; spans land in the ring).
     recorder = FlightRecorder(
         capacity=spec.flight_capacity,

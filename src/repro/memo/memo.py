@@ -18,10 +18,10 @@ from typing import Iterable, Optional
 from repro.errors import OptimizerError
 from repro.interning import intern_key
 from repro.memo.context import OptimizationContext, PlanInfo, StatsObject
+from repro.obs.trace import NULL_TRACER
 from repro.ops.expression import Expression, Operator
 from repro.ops.scalar import ColRef
 from repro.props.required import RequiredProps
-from repro.trace import NULL_TRACER
 
 
 class GroupRef(Operator):

@@ -1,7 +1,10 @@
-"""repro.obs — observability: distributed traces, flight data, slow log.
+"""repro.obs — observability: tracing, distributed traces, flight data,
+slow log.
 
-Three pillars, one ``trace_id``:
+One :class:`~repro.obs.trace.Tracer` (events, flight or null sink) and
+three pillars, one ``trace_id``:
 
+- :mod:`repro.obs.trace` — the tracer and its event/span aggregates;
 - :mod:`repro.obs.spans` / :mod:`repro.obs.export` — span primitives and
   the Chrome-trace/Perfetto exporter for stitched fleet traces;
 - :mod:`repro.obs.flight` — the always-on per-worker flight recorder
@@ -16,16 +19,15 @@ from repro.obs.export import (
     validate_chrome_trace,
     write_chrome_trace,
 )
-from repro.obs.flight import (
-    FlightRecorder,
-    FlightTracer,
-    QueryRecord,
-    load_flight_dump,
-)
+from repro.obs.flight import FlightRecorder, QueryRecord, load_flight_dump
 from repro.obs.slowlog import JsonLogFormatter, SlowQueryLog
 from repro.obs.spans import Span, new_span_id, new_trace_id
+from repro.obs.trace import NULL_TRACER, TraceEvent, Tracer
 
 __all__ = [
+    "Tracer",
+    "TraceEvent",
+    "NULL_TRACER",
     "Span",
     "new_span_id",
     "new_trace_id",
@@ -34,7 +36,6 @@ __all__ = [
     "validate_chrome_trace",
     "write_chrome_trace",
     "FlightRecorder",
-    "FlightTracer",
     "QueryRecord",
     "load_flight_dump",
     "JsonLogFormatter",

@@ -20,6 +20,7 @@ import json
 from typing import Any, Iterable, Optional, Union
 
 from repro.obs.spans import Span
+from repro.obs.trace import Tracer
 
 #: Process row used for spans that carry no ``process`` annotation (the
 #: local / orchestrator timeline).
@@ -82,14 +83,12 @@ def chrome_trace(
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def tracer_chrome_trace(tracer: Any) -> dict[str, Any]:
+def tracer_chrome_trace(tracer: Tracer) -> dict[str, Any]:
     """Export a tracer's spans, tagging events with its ``trace_id``."""
-    return chrome_trace(
-        getattr(tracer, "spans", ()), trace_id=getattr(tracer, "trace_id", None)
-    )
+    return chrome_trace(tracer.spans, trace_id=tracer.trace_id)
 
 
-def write_chrome_trace(path: str, tracer: Any, indent: Optional[int] = None) -> None:
+def write_chrome_trace(path: str, tracer: Tracer, indent: Optional[int] = None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(tracer_chrome_trace(tracer), fh, indent=indent)
 

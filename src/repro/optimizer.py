@@ -27,6 +27,7 @@ from repro.gpos.governor import ResourceGovernor
 from repro.gpos.memory import deep_sizeof
 from repro.interning import intern_stats
 from repro.memo.memo import Memo
+from repro.obs.trace import NULL_TRACER, Tracer
 from repro.ops.physical import PhysicalCTEProducer
 from repro.ops.scalar import ColRef, ColumnFactory
 from repro.plancache import PlanCache, fingerprint
@@ -40,7 +41,6 @@ from repro.sql.parser import parse
 from repro.sql.translator import TranslatedQuery, Translator
 from repro.telemetry.analyze import PlanAnalysis
 from repro.telemetry.registry import NULL_METRICS
-from repro.trace import NULL_TRACER, NullTracer, Tracer
 from repro.xforms.normalization import preprocess
 
 #: Where an optimization's plan came from (``OptimizationResult.plan_source``).
@@ -49,11 +49,8 @@ PLAN_SOURCES = ("orca", "orca_partial", "planner_fallback", "cache")
 
 @dataclass
 class SearchStats:
-    """Search-effort counters for one optimization.
-
-    Split out of :class:`OptimizationResult` in the session-API redesign;
-    the result keeps deprecated read-only aliases for one release.
-    """
+    """Search-effort counters for one optimization
+    (``OptimizationResult.search_stats``)."""
 
     num_groups: int = 0
     num_gexprs: int = 0
@@ -112,11 +109,11 @@ class OptimizationResult:
     #: open problem, implemented as multiplicative damping; see
     #: repro.stats.derivation).
     stats_confidence: float = 1.0
-    #: The structured trace of this session: a :class:`repro.trace.Tracer`
-    #: when the session was created with one, else the shared NullTracer.
+    #: The structured trace of this session: the session's
+    #: :class:`repro.obs.trace.Tracer`, else the shared ``NULL_TRACER``.
     #: Benchmarks and AMPERe dumps read per-stage timings and event
     #: counts from here.
-    trace: Union[Tracer, NullTracer, None] = None
+    trace: Optional[Tracer] = None
     #: Error code of the optimizer failure a session recovered from
     #: (``plan_source == "planner_fallback"`` only), else None.
     fallback_reason: Optional[str] = None
@@ -138,47 +135,6 @@ class OptimizationResult:
                 "telemetry.analyze_execution) before explain(analyze=True)"
             )
         return f"{self.analysis.render()}\n{self.analysis.summary()}"
-
-    # -- deprecated read-only aliases (pre-redesign flat counters) -------
-    @property
-    def num_groups(self) -> int:
-        return self.search_stats.num_groups
-
-    @property
-    def num_gexprs(self) -> int:
-        return self.search_stats.num_gexprs
-
-    @property
-    def jobs_executed(self) -> int:
-        return self.search_stats.jobs_executed
-
-    @property
-    def xform_count(self) -> int:
-        return self.search_stats.xform_count
-
-    @property
-    def kind_counts(self) -> dict[str, int]:
-        return self.search_stats.kind_counts
-
-    @property
-    def memory_bytes(self) -> int:
-        return self.search_stats.memory_bytes
-
-    @property
-    def job_log(self) -> list:
-        return self.search_stats.job_log
-
-    @property
-    def pruned_alternatives(self) -> int:
-        return self.search_stats.pruned_alternatives
-
-    @property
-    def costed_alternatives(self) -> int:
-        return self.search_stats.costed_alternatives
-
-    @property
-    def bound_redos(self) -> int:
-        return self.search_stats.bound_redos
 
 
 class Orca:

@@ -45,12 +45,12 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Optional
 
+from repro.obs.trace import NULL_TRACER
 from repro.ops.physical import PhysicalIndexScan
 from repro.ops.scalar import ColRef, InList, Literal, ScalarExpr
 from repro.search.plan import PlanNode
 from repro.sql.ast import EIn, ELiteral
 from repro.telemetry.registry import NULL_METRICS
-from repro.trace import NULL_TRACER
 
 #: Marker standing in for one parameterized literal in a fingerprint.
 _PARAM = "?"

@@ -18,13 +18,13 @@ from repro.gpos.memory import deep_sizeof
 from repro.gpos.scheduler import JobRecord, JobScheduler
 from repro.memo.context import PlanInfo
 from repro.memo.memo import GroupExpression, Memo
+from repro.obs.trace import NULL_TRACER
 from repro.ops.scalar import ColumnFactory
 from repro.props.required import RequiredProps
 from repro.search.extractor import extract_plan
 from repro.search.jobs import JobGroupOptimize
 from repro.search.plan import PlanNode
 from repro.stats.derivation import StatsDeriver
-from repro.trace import NULL_TRACER
 from repro.xforms.registry import default_rule_set
 from repro.xforms.rule import RuleContext
 
@@ -171,10 +171,7 @@ class SearchEngine:
         # The root request is unbounded: every plan is interesting until
         # an incumbent exists (the bound then tightens as children cost).
         self.memo.root_group().context(req).request_bound(math.inf)
-        scheduler = JobScheduler(
-            workers=self.config.workers, tracer=self.tracer,
-            governor=self.governor,
-        )
+        scheduler = JobScheduler(tracer=self.tracer, governor=self.governor)
         if self.governor is not None:
             self.governor.set_memory_probe(lambda: deep_sizeof(self.memo))
         try:

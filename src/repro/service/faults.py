@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
 from repro.errors import InjectedFault
+from repro.obs.trace import NULL_TRACER
 
 #: The instrumented sites, in pipeline order.
 FAULT_SITES = ("xform_apply", "stats_derive", "costing", "extraction")
@@ -127,7 +128,7 @@ class FaultInjector:
         self.specs = tuple(specs)
         self.seed = seed
         self.rate = rate
-        self.tracer = tracer
+        self.tracer = tracer or NULL_TRACER
         #: Resource governor charged by ``alloc`` faults (set by the
         #: session / engine when the query is armed).
         self.governor = None
@@ -163,12 +164,11 @@ class FaultInjector:
             else:
                 return
         self.fired.append(FiredFault(site, hit, spec.kind, dict(context)))
-        if self.tracer is not None:
-            # Unguarded on purpose: a FlightTracer (enabled=False) still
-            # wants the fault in the black box it is about to dump.
-            self.tracer.record(
-                "fault_injected", site=site, hit=hit, fault=spec.kind
-            )
+        # Unguarded on purpose: the flight sink (enabled=False) still
+        # wants the fault in the black box it is about to dump.
+        self.tracer.record(
+            "fault_injected", site=site, hit=hit, fault=spec.kind
+        )
         if spec.kind in ("kill", "wedge") and self.flight_recorder is not None:
             self.flight_recorder.dump(f"fault_{spec.kind}_{site}")
         if spec.kind == "delay":

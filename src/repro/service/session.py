@@ -41,12 +41,12 @@ from repro.errors import (
 )
 from repro.obs.flight import FlightRecorder
 from repro.obs.slowlog import SlowQueryLog
+from repro.obs.trace import NULL_TRACER, Tracer
 from repro.optimizer import OptimizationResult, Orca
 from repro.planner import LegacyPlanner
 from repro.sql.ast import SelectStmt
 from repro.telemetry.registry import NULL_METRICS
 from repro.telemetry.stats_store import QueryStatsStore, fingerprint_query
-from repro.trace import Tracer
 
 
 @dataclass
@@ -122,15 +122,18 @@ class Session:
         self.stats_store = stats_store
         #: Structured slow-query / regression log (repro.obs.slowlog).
         self.slow_log = slow_log
-        #: Always-on flight recorder (repro.obs.flight); its FlightTracer
-        #: becomes the session tracer when no explicit tracer was given,
+        #: Always-on flight recorder (repro.obs.flight); its flight-sink
+        #: tracer becomes the session tracer when none was given,
         #: so recent query spans land in the ring at near-zero cost.
         self.flight = flight_recorder
         if flight_recorder is not None and tracer is None:
             tracer = flight_recorder.tracer
         if flight_recorder is not None and faults is not None:
             faults.flight_recorder = flight_recorder
-        if faults is not None and faults.tracer is None and tracer is not None:
+        if (
+            faults is not None and faults.tracer is NULL_TRACER
+            and tracer is not None
+        ):
             # Fired faults belong in the trace / black box.
             faults.tracer = tracer
         #: execute() observes the slow log once for the whole query, so
@@ -201,7 +204,7 @@ class Session:
         try:
             result = self._optimize_governed(sql_or_stmt)
         finally:
-            trace_id = getattr(self.tracer, "trace_id", None)
+            trace_id = self.tracer.trace_id
             if owns_record:
                 self.flight.end()
         if observe:
@@ -361,7 +364,7 @@ class Session:
                 self._ingest_feedback(sql_or_stmt, result, execution.analysis)
         finally:
             self._suppress_slow = False
-            trace_id = getattr(self.tracer, "trace_id", None)
+            trace_id = self.tracer.trace_id
             if owns_record:
                 self.flight.end()
         if observe:
@@ -401,17 +404,13 @@ class Session:
         """Stage-time aggregates before a query (slow-log phase math)."""
         if self.slow_log is None:
             return None
-        times = getattr(self.tracer, "stage_times", None)
-        return dict(times) if times is not None else None
+        return dict(self.tracer.stage_times)
 
     def _phases_since(self, before: Optional[dict]) -> Optional[dict]:
-        times = getattr(self.tracer, "stage_times", None)
-        if times is None:
-            return None
         before = before or {}
         out = {
             name: total - before.get(name, 0.0)
-            for name, total in times.items()
+            for name, total in self.tracer.stage_times.items()
             if total - before.get(name, 0.0) > 0.0
         }
         return out or None

@@ -4,7 +4,7 @@ The paper's evaluation is measurement (Section 6, Figures 11-15), and an
 industrial optimizer additionally needs an *aggregate*, always-on view of
 itself across queries and sessions — counters of scheduler jobs per kind,
 Memo growth, plan-cache outcomes, governor trips, admission decisions —
-not just the per-query traces of :mod:`repro.trace`.  A
+not just the per-query traces of :mod:`repro.obs.trace`.  A
 :class:`MetricsRegistry` is that view: a process-wide (or pool-wide)
 collection of metric families that every layer increments, exported as
 
@@ -14,7 +14,7 @@ collection of metric families that every layer increments, exported as
   :meth:`MetricsRegistry.from_json`) that round-trips losslessly, e.g.
   embedded in AMPERe dumps.
 
-The disabled path mirrors :class:`repro.trace.NullTracer`: the shared
+The disabled path mirrors :data:`repro.obs.trace.NULL_TRACER`: the shared
 :data:`NULL_METRICS` singleton has ``enabled = False`` no-op methods, and
 hot call sites guard on ``metrics.enabled`` so an un-instrumented run
 stays within noise of the seed code.
@@ -218,7 +218,7 @@ class Histogram(_Family):
 class NullMetricsRegistry:
     """The zero-overhead default: every operation is a no-op.
 
-    Mirrors :class:`repro.trace.NullTracer`; hot paths guard on
+    Mirrors :data:`repro.obs.trace.NULL_TRACER`; hot paths guard on
     ``metrics.enabled`` and never build label payloads when disabled.
     """
 

@@ -46,7 +46,7 @@ class AMPEReDump:
     stacktrace: Optional[str] = None
     expected_plan_xml: Optional[ET.Element] = None
     #: JSON dump of the capturing session's structured trace
-    #: (:meth:`repro.trace.Tracer.to_json`), when one was collected.
+    #: (:meth:`repro.obs.trace.Tracer.to_json`), when one was collected.
     trace_json: Optional[str] = None
     #: JSON snapshot of the capturing session's telemetry registry
     #: (:meth:`repro.telemetry.MetricsRegistry.to_json`), when attached.

@@ -35,10 +35,10 @@ EXPECTED_ALL = frozenset({
     # fault injection
     "FaultInjector", "FaultSpec",
     # tracing
-    "Tracer", "NullTracer", "TraceEvent",
+    "Tracer", "TraceEvent",
     # observability: distributed traces, flight recorder, slow-query log
     "Span", "chrome_trace", "tracer_chrome_trace", "validate_chrome_trace",
-    "FlightRecorder", "FlightTracer", "load_flight_dump", "SlowQueryLog",
+    "FlightRecorder", "load_flight_dump", "SlowQueryLog",
     # telemetry (fleet observability)
     "MetricsRegistry", "NullMetricsRegistry", "PlanAnalysis",
     "QueryStats", "QueryStatsStore", "TelemetryError",
@@ -48,9 +48,27 @@ EXPECTED_ALL = frozenset({
 })
 
 
+#: ``repro.obs.__all__``, frozen the same way.
+EXPECTED_OBS_ALL = frozenset({
+    "Tracer", "TraceEvent", "NULL_TRACER",
+    "Span", "new_span_id", "new_trace_id",
+    "chrome_trace", "tracer_chrome_trace", "validate_chrome_trace",
+    "write_chrome_trace",
+    "FlightRecorder", "QueryRecord", "load_flight_dump",
+    "JsonLogFormatter", "SlowQueryLog",
+})
+
+
 class TestAllSnapshot:
     def test_all_matches_snapshot(self):
         assert frozenset(repro.__all__) == EXPECTED_ALL
+
+    def test_obs_all_matches_snapshot(self):
+        import repro.obs
+
+        assert frozenset(repro.obs.__all__) == EXPECTED_OBS_ALL
+        for name in repro.obs.__all__:
+            assert getattr(repro.obs, name) is not None, name
 
     def test_every_export_resolves(self):
         for name in repro.__all__:
@@ -100,7 +118,7 @@ class TestKeywordOnlyConstructors:
 
 
 class TestExecutionModeSurface:
-    """The execution_mode= enum and its deprecated batch_execution= alias."""
+    """The execution_mode= enum."""
 
     def test_enum_members(self):
         assert [m.value for m in repro.ExecutionMode] == [
@@ -122,61 +140,6 @@ class TestExecutionModeSurface:
     def test_config_coerces_strings(self):
         config = repro.OptimizerConfig(execution_mode="batch")
         assert config.execution_mode is repro.ExecutionMode.BATCH
-
-    def test_config_batch_execution_alias_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning, match="batch_execution"):
-            legacy = repro.OptimizerConfig(batch_execution=True)
-        assert legacy == repro.OptimizerConfig(
-            execution_mode=repro.ExecutionMode.BATCH
-        )
-        with pytest.warns(DeprecationWarning):
-            legacy_row = repro.OptimizerConfig(batch_execution=False)
-        assert legacy_row == repro.OptimizerConfig(
-            execution_mode=repro.ExecutionMode.ROW
-        )
-
-    def test_executor_batch_execution_alias_warns(self, small_db):
-        cluster = repro.Cluster(small_db, segments=2)
-        with pytest.warns(DeprecationWarning, match="batch_execution"):
-            ex = repro.Executor(cluster, batch_execution=True)
-        assert ex.execution_mode is repro.ExecutionMode.BATCH
-
-    def test_executor_rejects_both_spellings(self, small_db):
-        cluster = repro.Cluster(small_db, segments=2)
-        with pytest.raises(ValueError, match="not both"):
-            repro.Executor(
-                cluster,
-                execution_mode=repro.ExecutionMode.BATCH,
-                batch_execution=True,
-            )
-
-    def test_alias_and_enum_runs_are_bit_identical(self, small_db):
-        import dataclasses as dc
-        import warnings
-
-        orca = repro.Orca(small_db, config=repro.OptimizerConfig(segments=2))
-        result = orca.optimize(
-            "SELECT c, sum(b) FROM t1 WHERE b > 10 GROUP BY c ORDER BY c"
-        )
-        runs = []
-        for kwargs in (
-            {"execution_mode": repro.ExecutionMode.BATCH},
-            {"batch_execution": True},
-        ):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                ex = repro.Executor(
-                    repro.Cluster(small_db, segments=2), **kwargs
-                )
-            runs.append(
-                ex.execute(result.plan, result.output_cols, analyze=True)
-            )
-        enum_run, alias_run = runs
-        assert alias_run.rows == enum_run.rows
-        for f in dc.fields(enum_run.metrics):
-            assert (getattr(alias_run.metrics, f.name)
-                    == getattr(enum_run.metrics, f.name)), f.name
-        assert alias_run.analysis.render() == enum_run.analysis.render()
 
 
 class TestExceptionHierarchy:
@@ -243,15 +206,17 @@ class TestResultShape:
         assert "search_stats" in names
         assert "fallback_reason" in names
 
-    def test_deprecated_aliases_are_read_only_delegates(self):
+    def test_search_counters_live_only_on_search_stats(self):
+        """Search counters are read from ``result.search_stats`` only;
+        the result carries no flat copies of them."""
         stats = repro.SearchStats(num_groups=7, jobs_executed=11)
         result = repro.OptimizationResult(
             plan=None, output_cols=[], output_names=[], search_stats=stats
         )
-        assert result.num_groups == 7
-        assert result.jobs_executed == 11
-        with pytest.raises(AttributeError):
-            result.num_groups = 3  # property, no setter
+        assert result.search_stats.num_groups == 7
+        assert result.search_stats.jobs_executed == 11
+        for name in ("num_groups", "jobs_executed", "job_log"):
+            assert not hasattr(result, name), name
 
     def test_facade_smoke(self, small_db):
         session = repro.connect(small_db, segments=2)

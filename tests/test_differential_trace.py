@@ -3,7 +3,7 @@
 A corpus of generated queries (seeds disjoint from test_differential's)
 is optimized by both planning paths and executed on the same simulated
 cluster; result sets must agree row-for-row (sorted comparison).  Every
-Orca session runs under a live :class:`repro.trace.Tracer`, and the
+Orca session runs under a live :class:`repro.obs.trace.Tracer`, and the
 harness asserts the trace invariants hold across the whole corpus —
 systematic coverage instead of one-off spot checks.
 """
@@ -14,9 +14,9 @@ import pytest
 
 from repro.config import OptimizerConfig
 from repro.engine import Cluster, Executor
+from repro.obs.trace import Tracer, check_span_consistency
 from repro.optimizer import Orca
 from repro.planner import LegacyPlanner
-from repro.trace import Tracer, check_span_consistency
 
 from tests.conftest import make_small_db, rows_equal
 from tests.test_differential import QueryGenerator
@@ -53,9 +53,9 @@ def test_corpus_differential_with_trace(env, seed):
 
     # 2. The trace is internally consistent for every corpus query.
     assert check_span_consistency(tracer) == [], sql
-    assert tracer.count("job_done") == orca_result.jobs_executed, sql
-    assert tracer.count("xform_applied") == orca_result.xform_count, sql
-    assert tracer.job_kind_counts == orca_result.kind_counts, sql
+    assert tracer.count("job_done") == orca_result.search_stats.jobs_executed, sql
+    assert tracer.count("xform_applied") == orca_result.search_stats.xform_count, sql
+    assert tracer.job_kind_counts == orca_result.search_stats.kind_counts, sql
     assert (
         tracer.count("group_created")
         == orca_result.memo.num_groups_created()

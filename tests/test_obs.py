@@ -36,11 +36,11 @@ from repro.obs import (
 )
 from repro.obs.flight import MAX_EVENTS_PER_RECORD
 from repro.obs.spans import new_span_id, new_trace_id
+from repro.obs.trace import NULL_TRACER, Tracer
 from repro.service import connect
 from repro.service.faults import FAULT_SITES, FaultInjector, FaultSpec
 from repro.errors import TelemetryError
 from repro.telemetry import MetricsRegistry, QueryStatsStore
-from repro.trace import NullTracer, Tracer
 
 from tests.conftest import make_small_db
 
@@ -145,7 +145,7 @@ class TestTracerSpans:
         assert [s.name for s in restored.spans] == ["s"]
 
     def test_null_tracer_span_api(self):
-        tracer = NullTracer()
+        tracer = NULL_TRACER
         with tracer.span("s", anything=1):
             pass
         assert tracer.current_span_id is None
@@ -519,6 +519,30 @@ class TestSessionSlowLog:
         (payload,) = log.records
         assert payload["trace_id"] == recorder.records[0].trace_id
 
+    def test_flight_recorder_supplies_phases(self, tpcds_db):
+        """The flight recorder alone yields the same slow-log phases as
+        an explicit Tracer: its flight-sink tracer keeps stage times."""
+        sql = ("SELECT d_year, count(*) AS n FROM date_dim "
+               "GROUP BY d_year ORDER BY d_year")
+        payloads = []
+        for kwargs in (
+            {"tracer": Tracer()},
+            {"flight_recorder": FlightRecorder()},
+        ):
+            log = SlowQueryLog(threshold_ms=0.0, stream=io.StringIO())
+            session = connect(tpcds_db, slow_log=log, segments=4, **kwargs)
+            session.optimize(sql)
+            (payload,) = log.records
+            payloads.append(payload)
+        traced, flight = payloads
+        assert flight["trace_id"] is not None
+        assert "phases_ms" in flight
+        assert set(flight["phases_ms"]) == set(traced["phases_ms"])
+        assert {
+            "parse", "translate", "normalize", "copy_in",
+            "search:default", "extract",
+        } <= set(flight["phases_ms"])
+
     def test_regression_fires_via_stats_store(self, db):
         log = SlowQueryLog(min_duration_ms=0.0, stream=io.StringIO())
         store = QueryStatsStore()
@@ -560,7 +584,7 @@ class TestTraceDeterminism:
         result = session.optimize(sql)
         return (
             result.plan.explain(),
-            result.jobs_executed,
+            result.search_stats.jobs_executed,
             result.search_stats.num_groups,
             result.search_stats.kind_counts,
         )

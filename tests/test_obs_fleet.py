@@ -28,8 +28,8 @@ from repro.obs import (
     tracer_chrome_trace,
     validate_chrome_trace,
 )
+from repro.obs.trace import Tracer
 from repro.service.faults import FaultSpec
-from repro.trace import Tracer
 
 from tests.conftest import make_small_db
 

@@ -37,9 +37,9 @@ from repro.engine.parallel import (
     make_pool,
 )
 from repro.errors import ExecutionError, TimeoutError_
+from repro.obs.trace import Tracer
 from repro.optimizer import Orca
 from repro.service.session import connect
-from repro.trace import Tracer
 from repro.workloads import QUERIES, build_populated_db
 
 from tests.conftest import make_small_db

@@ -20,10 +20,10 @@ from hypothesis import strategies as st
 
 from repro.config import OptimizerConfig
 from repro.engine import Cluster, Executor
+from repro.obs.trace import Tracer
 from repro.optimizer import Orca
 from repro.plancache import PlanCache, fingerprint
 from repro.sql.parser import parse
-from repro.trace import Tracer
 from repro.workloads import QUERIES
 
 from tests.conftest import make_small_db, rows_equal
@@ -90,7 +90,7 @@ def test_exact_hit_skips_search(cache_db):
     assert second.plan_cache == "hit"
     # The cached result bypassed the Memo search entirely.
     assert second.memo is None
-    assert second.jobs_executed == 0
+    assert second.search_stats.jobs_executed == 0
     assert second.plan.explain() == first.plan.explain()
     assert orca.plan_cache.stats()["hits"] == 1
     assert tracer.count("plan_cache_hit") == 1

@@ -18,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import OptimizerConfig
+from repro.obs.trace import Tracer
 from repro.optimizer import Orca
-from repro.trace import Tracer
 from repro.workloads import QUERIES
 
 from tests.conftest import make_small_db
@@ -55,23 +55,25 @@ def test_pruned_cost_equals_exhaustive_on_workload(workload_results):
 
 def test_pruning_reduces_optimization_jobs(workload_results):
     pruned_jobs = sum(
-        r.kind_counts.get("Opt(gexpr,req)", 0)
+        r.search_stats.kind_counts.get("Opt(gexpr,req)", 0)
         for _q, r, _e in workload_results
     )
     exhaustive_jobs = sum(
-        e.kind_counts.get("Opt(gexpr,req)", 0)
+        e.search_stats.kind_counts.get("Opt(gexpr,req)", 0)
         for _q, _r, e in workload_results
     )
     assert pruned_jobs < exhaustive_jobs
     # The full-scale benchmark asserts >= 15%; the smaller test database
     # still has to show a clearly material reduction.
     assert 1.0 - pruned_jobs / exhaustive_jobs >= 0.10
-    assert sum(r.pruned_alternatives for _q, r, _e in workload_results) > 0
+    assert sum(
+        r.search_stats.pruned_alternatives for _q, r, _e in workload_results
+    ) > 0
 
 
 def test_exhaustive_mode_never_prunes(workload_results):
     for qid, _pruned, exhaustive in workload_results:
-        assert exhaustive.pruned_alternatives == 0, qid
+        assert exhaustive.search_stats.pruned_alternatives == 0, qid
 
 
 def test_search_pruned_trace_events(tpcds_db):
@@ -83,7 +85,7 @@ def test_search_pruned_trace_events(tpcds_db):
     query = next(q for q in QUERIES if q.id == "star_brand")
     result = orca.optimize(query.sql)
     events = tracer.events_of("search_pruned")
-    assert len(events) == result.pruned_alternatives > 0
+    assert len(events) == result.search_stats.pruned_alternatives > 0
     for event in events:
         assert event.data["reason"] in ("incumbent", "bound")
         assert event.data["partial"] >= 0.0

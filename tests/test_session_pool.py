@@ -99,17 +99,16 @@ class TestPoolUsage:
             with pool.session() as b:
                 b.optimize(SQL)
                 b.optimize(SQL)
-        snapshot = pool.metrics()
-        assert snapshot["admitted"] == 2
-        assert snapshot["rejected"] == 0
-        assert snapshot["active"] == 0
-        by_name = snapshot["sessions"]
-        assert set(by_name) == {"session-0", "session-1"}
-        counts = sorted(s["queries"] for s in by_name.values())
+        t = pool.telemetry
+        assert t.value("pool_admissions_total", outcome="admitted") == 2
+        assert t.value("pool_admissions_total", outcome="rejected") == 0
+        assert pool.active == 0
+        assert {a.name, b.name} == {"session-0", "session-1"}
+        counts = sorted(s.metrics.queries for s in (a, b))
         assert counts == [1, 2]
         assert all(
-            s["plan_sources"].get("orca", 0) == s["queries"]
-            for s in by_name.values()
+            s.metrics.plan_sources.get("orca", 0) == s.metrics.queries
+            for s in (a, b)
         )
 
     def test_pool_sessions_retry_transient_faults(self, tpcds_db):
@@ -120,11 +119,12 @@ class TestPoolUsage:
             tpcds_db, max_sessions=1, segments=4,
             faults=injector, max_retries=2,
         )
-        result = pool.optimize(SQL)
+        with pool.session() as session:
+            result = session.optimize(SQL)
         assert result.plan_source == "orca"
-        metrics = pool.metrics()["sessions"]["session-0"]
-        assert metrics["retries"] == 1
-        assert metrics["fallbacks"] == 0
+        assert session.name == "session-0"
+        assert session.metrics.retries == 1
+        assert session.metrics.fallbacks == 0
 
     def test_concurrent_one_shots_stay_bounded(self, tpcds_db):
         pool = SessionPool(tpcds_db, max_sessions=2, segments=4)
@@ -148,37 +148,26 @@ class TestPoolUsage:
             t.start()
         for t in threads:
             t.join(timeout=30.0)
-        assert pool.metrics()["admitted"] == 6
+        assert pool.telemetry.value(
+            "pool_admissions_total", outcome="admitted"
+        ) == 6
         assert max(peak) <= 2
-        assert len(pool.metrics()["sessions"]) <= 2
+        assert len(pool._sessions) <= 2
 
 
-class TestDeprecatedMetricsAlias:
-    """The legacy ``pool.metrics()`` dict is now derived from the
-    telemetry registry; its shape is pinned for one release."""
+class TestPoolTelemetry:
+    """Pool-level counters live in the shared telemetry registry."""
 
-    def test_top_level_keys_pinned(self, tpcds_db):
-        pool = SessionPool(tpcds_db, max_sessions=2, segments=4)
-        pool.optimize(SQL)
-        metrics = pool.metrics()
-        assert set(metrics) == {
-            "max_sessions", "admitted", "rejected", "active", "sessions",
-        }
-        assert set(metrics["sessions"]["session-0"]) == {
-            "queries", "plan_sources", "retries", "fallbacks",
-            "timeouts", "quota_trips", "errors", "total_opt_seconds",
-        }
-
-    def test_alias_agrees_with_registry(self, tpcds_db):
+    def test_admissions_agree_with_registry(self, tpcds_db):
         pool = SessionPool(tpcds_db, max_sessions=3, segments=4)
         pool.optimize(SQL)
         pool.optimize(SQL)
-        metrics = pool.metrics()
-        assert metrics["max_sessions"] == 3
-        assert metrics["admitted"] == 2
-        assert metrics["rejected"] == 0
-        assert metrics["admitted"] == int(
-            pool.telemetry.value("pool_admissions_total", outcome="admitted")
+        t = pool.telemetry
+        assert t.value("pool_max_sessions") == 3
+        assert t.value("pool_admissions_total", outcome="admitted") == 2
+        assert t.value("pool_admissions_total", outcome="rejected") == 0
+        assert pool.admitted == int(
+            t.value("pool_admissions_total", outcome="admitted")
         )
 
     def test_registry_is_the_scrape_target(self, tpcds_db):

@@ -14,13 +14,8 @@ import pytest
 
 from repro.config import OptimizerConfig
 from repro.engine import Cluster, Executor
+from repro.obs.trace import NULL_TRACER, Tracer, check_span_consistency
 from repro.optimizer import Orca
-from repro.trace import (
-    NULL_TRACER,
-    NullTracer,
-    Tracer,
-    check_span_consistency,
-)
 
 from tests.conftest import make_small_db
 
@@ -129,17 +124,19 @@ class TestTracer:
         ]
 
 
-class TestNullTracer:
+class TestNullSink:
     def test_everything_is_noop(self):
-        tracer = NullTracer()
+        tracer = NULL_TRACER
         assert not tracer.enabled
         tracer.record("group_created", group=0)
-        with tracer.span("parse"):
-            pass
+        with tracer.span("parse") as span:
+            assert span is None
         assert tracer.count("group_created") == 0
         assert tracer.events_of("group_created") == []
-        assert tracer.to_json() == "{}"
-        assert "disabled" in tracer.summary()
+        assert tracer.stage_times == {}
+        dump = json.loads(tracer.to_json())
+        assert dump["trace_id"] is None
+        assert dump["counters"] == {} and dump["spans"] == []
 
     def test_untraced_optimization_carries_null_tracer(self):
         db = make_small_db(t1_rows=300, t2_rows=60)
@@ -184,15 +181,15 @@ class TestTraceInvariants:
 
     def test_job_done_matches_jobs_executed(self, traced_runs):
         for sql, tracer, result, _out in traced_runs:
-            assert tracer.count("job_done") == result.jobs_executed, sql
+            assert tracer.count("job_done") == result.search_stats.jobs_executed, sql
 
     def test_job_kind_mix_matches_scheduler(self, traced_runs):
         for sql, tracer, result, _out in traced_runs:
-            assert tracer.job_kind_counts == result.kind_counts, sql
+            assert tracer.job_kind_counts == result.search_stats.kind_counts, sql
 
     def test_xform_events_match_xform_count(self, traced_runs):
         for sql, tracer, result, _out in traced_runs:
-            assert tracer.count("xform_applied") == result.xform_count, sql
+            assert tracer.count("xform_applied") == result.search_stats.xform_count, sql
 
     def test_memo_creation_events_match_memo(self, traced_runs):
         """group/gexpr creation events equal the Memo's own accounting
